@@ -57,7 +57,7 @@ pub fn run(seed: u64, quick: bool) {
         .expect("labels stored")
         .into_iter()
         .zip(sim.trace.iter())
-        .filter(|(_, (_, s))| s.active.as_slice() == [0])
+        .filter(|(_, (_, s))| s.active == [0])
         .map(|(d, _)| d)
         .collect();
     let (cs, ps, rs2) =

@@ -7,13 +7,18 @@
 //! x_i(j) = x_i(j − 1)                            otherwise.
 //! ```
 //!
-//! [`ReplayEngine`] executes this *exactly*: it keeps the full history of
-//! every component's updates, assembles the read vector `x(l(j))` by
-//! label lookup (so out-of-order and unbounded delays are honoured
-//! bit-for-bit, not approximated), applies the operator to the active
-//! set, and records the trace on which macro-iterations, epochs and the
-//! condition checkers operate. Determinism makes every experiment
-//! replayable from a seed.
+//! [`ReplayEngine`] executes this *exactly*: it keeps every version of
+//! every component that a label can still name, assembles the read
+//! vector `x(l(j))` by label lookup (so out-of-order and unbounded delays
+//! are honoured bit-for-bit, not approximated), applies the operator to
+//! the active set, and records the trace on which macro-iterations,
+//! epochs and the condition checkers operate. Determinism makes every
+//! experiment replayable from a seed.
+//!
+//! "Can still name" is the schedule's promise, not a guess: every 256
+//! steps the engine prunes [`History`] below
+//! [`ScheduleGen::label_floor`], which is `0` (keep everything) unless
+//! the generator's delays are structurally bounded.
 
 use crate::error::CoreError;
 use crate::stopping::{StopState, StoppingRule};
@@ -21,29 +26,52 @@ use asynciter_models::schedule::{ScheduleGen, StepBuf};
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_opt::traits::Operator;
 
+/// Versions per component kept in the contiguous fast path.
+const RECENT: usize = 4;
+
 /// Per-component update history with label lookup.
 ///
 /// `value_at(i, l)` returns `x_i(l)`: the value component `i` had at
 /// iteration label `l` — i.e. the value written by the most recent update
-/// of `i` at or before `l` (or the initial value). Lookups are binary
-/// searches over each component's private update log.
+/// of `i` at or before `l` (or the initial value). The newest few
+/// versions of every component sit in contiguous arrays, so a lookup
+/// that reads at most a few versions back (the common case, in order or
+/// not) is a handful of compares and one load; older versions live in
+/// per-component logs searched by galloping back from their newest end.
+///
+/// Memory is bounded by a low-water mark: [`History::prune_below`]
+/// drops every version that no label at or above the mark can read. A
+/// lookup below a pruned mark panics rather than return a wrong value.
 #[derive(Debug, Clone)]
 pub struct History {
-    /// Per component: update log `(step j, value)`, starting with `(0, x0)`.
-    logs: Vec<Vec<(u64, f64)>>,
+    /// Per component: steps and values of the `RECENT` newest versions,
+    /// newest first. Slots no update has reached yet repeat the initial
+    /// version (step 0), so a lookup never needs a fill count.
+    recent_step: Vec<[u64; RECENT]>,
+    recent_val: Vec<[f64; RECENT]>,
+    /// Per component: the retained versions older than the recent ones,
+    /// oldest first.
+    older: Vec<Vec<(u64, f64)>>,
+    /// The highest mark pruned to so far.
+    floor: u64,
 }
 
 impl History {
     /// Creates a history initialised with `x(0)`.
     pub fn new(x0: &[f64]) -> Self {
         Self {
-            logs: x0.iter().map(|&v| vec![(0u64, v)]).collect(),
+            recent_step: vec![[0; RECENT]; x0.len()],
+            recent_val: x0.iter().map(|&v| [v; RECENT]).collect(),
+            // Room for a pruning window's worth of versions up front, so
+            // a pruned run's logs settle after a doubling or two.
+            older: x0.iter().map(|_| Vec::with_capacity(16)).collect(),
+            floor: 0,
         }
     }
 
     /// Number of components.
     pub fn n(&self) -> usize {
-        self.logs.len()
+        self.recent_step.len()
     }
 
     /// Records the update `x_i(j) = value`.
@@ -52,42 +80,86 @@ impl History {
     /// Panics when steps are not appended in increasing order.
     #[inline]
     pub fn push(&mut self, i: usize, j: u64, value: f64) {
-        let log = &mut self.logs[i];
-        debug_assert!(
-            log.last().map(|&(s, _)| s < j).unwrap_or(true),
-            "History::push: non-increasing step"
-        );
-        log.push((j, value));
+        let steps = &mut self.recent_step[i];
+        let vals = &mut self.recent_val[i];
+        assert!(steps[0] < j, "History::push: non-increasing step");
+        // The oldest recent version moves to the log unless the slot
+        // before it repeats it (the initial version still fills both).
+        let (s, v) = (steps[RECENT - 1], vals[RECENT - 1]);
+        if s != steps[RECENT - 2] {
+            self.older[i].push((s, v));
+        }
+        for r in (1..RECENT).rev() {
+            steps[r] = steps[r - 1];
+            vals[r] = vals[r - 1];
+        }
+        steps[0] = j;
+        vals[0] = value;
     }
 
     /// `x_i(l)`: the value of component `i` at label `l`.
+    ///
+    /// # Panics
+    /// Panics when `l` lies below a pruned low-water mark and the version
+    /// it names was dropped.
     #[inline]
     pub fn value_at(&self, i: usize, l: u64) -> f64 {
-        let log = &self.logs[i];
-        // Most logs are queried near their end (fresh labels); check the
-        // last entry before binary searching.
-        let (last_j, last_v) = *log.last().expect("log never empty");
-        if last_j <= l {
-            return last_v;
+        // Versions newer than `l` come first; count them without
+        // branching, then the next slot is the answer.
+        let newer = self.recent_step[i].iter().filter(|&&s| s > l).count();
+        if newer < RECENT {
+            self.recent_val[i][newer]
+        } else {
+            self.value_in_log(i, l)
         }
-        let pos = log.partition_point(|&(s, _)| s <= l);
+    }
+
+    /// `x_i(l)` for `l` before every recent version of `i`.
+    fn value_in_log(&self, i: usize, l: u64) -> f64 {
+        let log = &self.older[i];
+        // Gallop back from the newest end. Invariant: every entry from
+        // `hi` on (and every recent version) is after `l`.
+        let mut hi = log.len();
+        let mut stride = 1;
+        let lo = loop {
+            if hi == 0 {
+                self.pruned(i, l);
+            }
+            let lo = hi.saturating_sub(stride);
+            if log[lo].0 <= l {
+                break lo;
+            }
+            hi = lo;
+            stride *= 2;
+        };
+        let pos = lo + log[lo..hi].partition_point(|&(s, _)| s <= l);
         log[pos - 1].1
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn pruned(&self, i: usize, l: u64) -> ! {
+        panic!(
+            "History: label {l} of component {i} is below the low-water mark {} and its \
+             version was pruned; the schedule's label_floor overstated its labels",
+            self.floor
+        )
     }
 
     /// The current (most recent) value of component `i`.
     #[inline]
     pub fn current(&self, i: usize) -> f64 {
-        self.logs[i].last().expect("log never empty").1
+        self.recent_val[i][0]
     }
 
     /// Assembles the read vector `x(l(j)) = (x_1(l_1), …, x_n(l_n))`.
     ///
     /// # Panics
-    /// Panics on dimension mismatch.
+    /// Panics on dimension mismatch, or as [`History::value_at`] does.
     pub fn assemble(&self, labels: &[u64], out: &mut [f64]) {
         assert_eq!(labels.len(), self.n(), "History::assemble: labels dim");
         assert_eq!(out.len(), self.n(), "History::assemble: out dim");
-        for (i, (&l, o)) in labels.iter().zip(out.iter_mut()).enumerate() {
+        for (i, (&l, o)) in labels.iter().zip(out).enumerate() {
             *o = self.value_at(i, l);
         }
     }
@@ -95,14 +167,39 @@ impl History {
     /// Copies the current vector into `out`.
     pub fn snapshot(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.n(), "History::snapshot: out dim");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.current(i);
+        for (o, vals) in out.iter_mut().zip(&self.recent_val) {
+            *o = vals[0];
         }
     }
 
-    /// Total number of stored log entries (memory diagnostic).
+    /// Raises the low-water mark to `floor`: afterwards only labels
+    /// `≥ floor` may be looked up. Keeps, per component, the newest
+    /// version at or below `floor` and everything after it. A mark at
+    /// or below the current one is a no-op.
+    pub fn prune_below(&mut self, floor: u64) {
+        if floor <= self.floor {
+            return;
+        }
+        self.floor = floor;
+        for (log, steps) in self.older.iter_mut().zip(&self.recent_step) {
+            if steps[RECENT - 1] <= floor {
+                log.clear();
+            } else {
+                let keep = log.partition_point(|&(s, _)| s <= floor);
+                log.drain(..keep.saturating_sub(1));
+            }
+        }
+    }
+
+    /// Total number of stored versions, initial values included (memory
+    /// diagnostic).
     pub fn entries(&self) -> usize {
-        self.logs.iter().map(Vec::len).sum()
+        let recent: usize = self
+            .recent_step
+            .iter()
+            .map(|steps| (steps.iter().filter(|&&s| s > 0).count() + 1).min(RECENT))
+            .sum();
+        recent + self.older.iter().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -177,6 +274,10 @@ pub struct RunResult {
     /// True when a stopping rule fired before `num_steps`.
     pub stopped_early: bool,
 }
+
+/// Steps between two raises of the `History` low-water mark to the
+/// schedule's [`ScheduleGen::label_floor`].
+pub(crate) const PRUNE_EVERY: u64 = 256;
 
 /// The Definition-1 replay engine. See module docs.
 #[derive(Debug, Default)]
@@ -268,6 +369,9 @@ impl ReplayEngine {
             }
             trace.push_step(&buf.active, &buf.labels);
             steps_run = j;
+            if j % PRUNE_EVERY == 0 {
+                history.prune_below(gen.label_floor(j + 1));
+            }
 
             if cfg.error_every > 0 && j % cfg.error_every == 0 {
                 let xs = xstar.expect("validated above");

@@ -29,7 +29,7 @@
 //!   labelled value on violation, making the run a *certified*
 //!   Definition-3 iteration.
 
-use crate::engine::History;
+use crate::engine::{History, PRUNE_EVERY};
 use crate::error::CoreError;
 use asynciter_models::schedule::{ScheduleGen, StepBuf};
 use asynciter_models::trace::{LabelStore, Trace};
@@ -270,6 +270,11 @@ impl FlexibleEngine {
                 history.push(i, j, w[i]);
             }
             trace.push_step(&buf.active, &eff_labels);
+            // Labelled reads go through `history` only, so the
+            // schedule's low-water mark bounds it exactly as in Replay.
+            if j % PRUNE_EVERY == 0 {
+                history.prune_below(gen.label_floor(j + 1));
+            }
 
             if cfg.error_every > 0 && j % cfg.error_every == 0 {
                 let xs = xstar.expect("validated above");

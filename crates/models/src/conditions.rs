@@ -337,7 +337,7 @@ pub fn activation_gaps(trace: &Trace) -> Vec<u64> {
     let mut last = vec![0u64; trace.n()];
     let mut max_gap = vec![0u64; trace.n()];
     for (j, s) in trace.iter() {
-        for &i in &s.active {
+        for &i in s.active {
             let i = i as usize;
             max_gap[i] = max_gap[i].max(j - last[i] - 1);
             last[i] = j;
@@ -455,7 +455,7 @@ pub fn labels_monotone_per_reader(
     for (j, step) in trace.iter() {
         let labels = trace.labels(j)?;
         touched.fill(false);
-        for &i in &step.active {
+        for &i in step.active {
             touched[partition.machine_of(i as usize)] = true;
         }
         for (m, &t) in touched.iter().enumerate() {

@@ -69,7 +69,7 @@ fn macro_iterations_impl(trace: &Trace, strict: bool) -> MacroIterations {
     let mut count = 0usize;
     for (j, step) in trace.iter() {
         if step.min_label >= jk {
-            for &i in &step.active {
+            for &i in step.active {
                 let i = i as usize;
                 if !covered[i] {
                     covered[i] = true;

@@ -33,6 +33,7 @@
 //! | [`ActiveThin`] | random partial-update mutation of the steering sets |
 
 use crate::trace::{LabelStore, Trace};
+use asynciter_numerics::rng::{sample_indices_into, ParetoCeil};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -69,6 +70,20 @@ pub trait ScheduleGen {
     /// structural rules.
     fn step(&mut self, j: u64, buf: &mut StepBuf);
 
+    /// The low-water mark at iteration `j`: a lower bound on every label
+    /// this generator emits at any step `j' ≥ j`.
+    ///
+    /// The replay engines drop stored versions that no label at or above
+    /// the mark can read, so an overstated mark makes a later lookup
+    /// panic (never return a wrong value). The default `0` keeps every
+    /// version, which is the only sound answer under genuinely unbounded
+    /// delays; generators override it only where the bound is structural
+    /// (a fixed delay bound `b` gives `j − b`).
+    fn label_floor(&self, j: u64) -> u64 {
+        let _ = j;
+        0
+    }
+
     /// A short human-readable description for experiment logs.
     fn describe(&self) -> String {
         format!("schedule(n={})", self.n())
@@ -84,6 +99,10 @@ impl<G: ScheduleGen + ?Sized> ScheduleGen for Box<G> {
         (**self).step(j, buf);
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        (**self).label_floor(j)
+    }
+
     fn describe(&self) -> String {
         (**self).describe()
     }
@@ -96,6 +115,10 @@ impl<G: ScheduleGen + ?Sized> ScheduleGen for &mut G {
 
     fn step(&mut self, j: u64, buf: &mut StepBuf) {
         (**self).step(j, buf);
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        (**self).label_floor(j)
     }
 
     fn describe(&self) -> String {
@@ -149,6 +172,10 @@ impl ScheduleGen for SyncJacobi {
         buf.labels.fill(j - 1);
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(1)
+    }
+
     fn describe(&self) -> String {
         format!("sync-jacobi(n={})", self.n)
     }
@@ -183,6 +210,10 @@ impl ScheduleGen for CyclicCoordinate {
         buf.active.push(((j - 1) % self.n as u64) as usize);
         buf.labels.resize(self.n, 0);
         buf.labels.fill(j - 1);
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(1)
     }
 
     fn describe(&self) -> String {
@@ -229,6 +260,10 @@ impl ScheduleGen for BlockRoundRobin {
         );
         buf.labels.resize(self.n(), 0);
         buf.labels.fill(j.saturating_sub(self.lag));
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(self.lag)
     }
 
     fn describe(&self) -> String {
@@ -297,10 +332,8 @@ impl ScheduleGen for ChaoticBounded {
 
     fn step(&mut self, j: u64, buf: &mut StepBuf) {
         let k = self.rng.random_range(self.k_min..=self.k_max);
-        let mut active = asynciter_numerics::rng::sample_indices(&mut self.rng, self.n, k);
-        active.sort_unstable();
-        buf.active.clear();
-        buf.active.extend(active);
+        sample_indices_into(&mut self.rng, self.n, k, &mut buf.active);
+        buf.active.sort_unstable();
         buf.labels.resize(self.n, 0);
         for h in 0..self.n {
             let d = self.rng.random_range(1..=self.b.min(j));
@@ -311,6 +344,12 @@ impl ScheduleGen for ChaoticBounded {
             }
             buf.labels[h] = l;
         }
+    }
+
+    /// Every label is at least `j' − b ≥ j − b` (monotone mode only
+    /// raises labels).
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(self.b)
     }
 
     fn describe(&self) -> String {
@@ -375,10 +414,8 @@ impl ScheduleGen for UnboundedSqrtDelay {
 
     fn step(&mut self, j: u64, buf: &mut StepBuf) {
         let k = self.rng.random_range(self.k_min..=self.k_max);
-        let mut active = asynciter_numerics::rng::sample_indices(&mut self.rng, self.n, k);
-        active.sort_unstable();
-        buf.active.clear();
-        buf.active.extend(active);
+        sample_indices_into(&mut self.rng, self.n, k, &mut buf.active);
+        buf.active.sort_unstable();
         buf.labels.resize(self.n, 0);
         let dmax = (1.0 + self.c * (j as f64).sqrt()).floor() as u64;
         for h in 0..self.n {
@@ -406,6 +443,7 @@ pub struct HeavyTailDelay {
     k_min: usize,
     k_max: usize,
     alpha: f64,
+    pareto: ParetoCeil,
     rng: StdRng,
 }
 
@@ -426,6 +464,7 @@ impl HeavyTailDelay {
             k_min,
             k_max,
             alpha,
+            pareto: ParetoCeil::new(alpha),
             rng: asynciter_numerics::rng::rng(seed),
         }
     }
@@ -438,14 +477,11 @@ impl ScheduleGen for HeavyTailDelay {
 
     fn step(&mut self, j: u64, buf: &mut StepBuf) {
         let k = self.rng.random_range(self.k_min..=self.k_max);
-        let mut active = asynciter_numerics::rng::sample_indices(&mut self.rng, self.n, k);
-        active.sort_unstable();
-        buf.active.clear();
-        buf.active.extend(active);
+        sample_indices_into(&mut self.rng, self.n, k, &mut buf.active);
+        buf.active.sort_unstable();
         buf.labels.resize(self.n, 0);
-        for h in 0..self.n {
-            let d = asynciter_numerics::rng::pareto(&mut self.rng, 1.0, self.alpha).ceil() as u64;
-            buf.labels[h] = j - d.clamp(1, j);
+        for l in buf.labels.iter_mut() {
+            *l = j - self.pareto.sample(&mut self.rng).clamp(1, j);
         }
     }
 
@@ -505,6 +541,10 @@ impl<G: ScheduleGen> ScheduleGen for StarvedComponent<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
+    }
+
     fn describe(&self) -> String {
         format!(
             "starved(victim={}, after={}) ∘ {}",
@@ -549,6 +589,10 @@ impl<G: ScheduleGen> ScheduleGen for FrozenLabelAdversary<G> {
     fn step(&mut self, j: u64, buf: &mut StepBuf) {
         self.inner.step(j, buf);
         buf.labels[self.victim] = buf.labels[self.victim].min(self.freeze_at);
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j).min(self.freeze_at)
     }
 
     fn describe(&self) -> String {
@@ -597,6 +641,11 @@ impl<G: ScheduleGen> ScheduleGen for EnvelopeClamp<G> {
         for l in buf.labels.iter_mut() {
             *l = (*l).clamp(lo, j - 1);
         }
+    }
+
+    /// Clamping only raises labels that respect condition (a).
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
     }
 
     fn describe(&self) -> String {
@@ -660,6 +709,10 @@ impl<G: ScheduleGen> ScheduleGen for CoverageGuard<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
+    }
+
     fn describe(&self) -> String {
         format!("cover(gap<{}) ∘ {}", self.max_gap, self.inner.describe())
     }
@@ -669,7 +722,8 @@ impl<G: ScheduleGen> ScheduleGen for CoverageGuard<G> {
 /// `prob`, redrawn uniformly from the envelope window `[j − D(j), j − 1]`.
 /// Injects extra delay variance and out-of-order reads while staying
 /// admissible — the "random delay/label mutations" of the conformance
-/// fuzzer.
+/// fuzzer. A redraw can land anywhere in the window, so this wrapper
+/// keeps the default [`ScheduleGen::label_floor`] of 0.
 #[derive(Debug)]
 pub struct LabelJitter<G> {
     inner: G,
@@ -774,6 +828,10 @@ impl<G: ScheduleGen> ScheduleGen for ActiveThin<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
+    }
+
     fn describe(&self) -> String {
         format!("thin(keep={}) ∘ {}", self.keep_prob, self.inner.describe())
     }
@@ -788,6 +846,8 @@ impl<G: ScheduleGen> ScheduleGen for ActiveThin<G> {
 #[derive(Debug, Clone)]
 pub struct RecordedSchedule {
     trace: Trace,
+    /// `floor[j − 1] = min_{r ≥ j} l(r)`.
+    floor: Vec<u64>,
 }
 
 impl RecordedSchedule {
@@ -803,7 +863,8 @@ impl RecordedSchedule {
         if trace.is_empty() {
             return Err(crate::ModelError::EmptyTrace);
         }
-        Ok(Self { trace })
+        let floor = trace.min_label_suffix();
+        Ok(Self { trace, floor })
     }
 
     /// Number of recorded steps.
@@ -831,6 +892,13 @@ impl ScheduleGen for RecordedSchedule {
         let labels = self.trace.labels(j).expect("checked Full in constructor");
         buf.labels.clear();
         buf.labels.extend_from_slice(labels);
+    }
+
+    /// The suffix minimum of the recorded `l(r)`; past the end, where no
+    /// step can be replayed, the last one.
+    fn label_floor(&self, j: u64) -> u64 {
+        let k = (j.max(1) - 1).min(self.floor.len() as u64 - 1);
+        self.floor[k as usize]
     }
 
     fn describe(&self) -> String {

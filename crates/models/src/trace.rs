@@ -12,6 +12,11 @@
 //! large problems can opt into [`LabelStore::MinOnly`], which keeps only
 //! `l(j) = min_h l_h(j)` (sufficient for macro-iterations) and the delay
 //! of the *performing* update.
+//!
+//! Recording is arena-backed: active ids and label vectors are appended
+//! to fixed-size chunks, so a step costs no allocation of its own and a
+//! long trace never doubles (and briefly duplicates) one giant buffer.
+//! [`TraceStep`] is a borrowed view into those chunks.
 
 use crate::error::ModelError;
 use crate::partition::Partition;
@@ -25,22 +30,43 @@ pub enum LabelStore {
     MinOnly,
 }
 
-/// One recorded iteration: the set `S_j` and label summary for step `j`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceStep {
+/// One recorded iteration: the set `S_j` and label summary for step `j`,
+/// borrowed from the trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceStep<'a> {
     /// Components updated at this iteration (`S_j`), strictly increasing.
-    pub active: Vec<u32>,
+    pub active: &'a [u32],
     /// `l(j) = min_h l_h(j)`: the oldest label read by this update.
     pub min_label: u64,
+}
+
+/// Active ids per arena chunk (32 KiB).
+const ID_CHUNK: usize = 8192;
+/// Labels per arena chunk (64 KiB): 32 steps at `n = 256`.
+const LABEL_CHUNK: usize = 8192;
+
+/// Where one step's active ids live: `ids[chunk][lo..hi]`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    chunk: u32,
+    lo: u32,
+    hi: u32,
+    min_label: u64,
 }
 
 /// A recorded execution of an asynchronous iteration.
 #[derive(Debug, Clone)]
 pub struct Trace {
     n: usize,
-    steps: Vec<TraceStep>,
-    /// Full labels per step when `LabelStore::Full`; empty otherwise.
+    spans: Vec<Span>,
+    /// Active ids of every step. A chunk is closed once the next step
+    /// would take it past [`ID_CHUNK`] ids (a single larger step gets a
+    /// chunk of its own); only the first chunk grows by reallocation.
+    ids: Vec<Vec<u32>>,
+    /// Full label vectors when `LabelStore::Full`, exactly
+    /// `label_steps` steps per chunk; empty otherwise.
     labels: Vec<Vec<u64>>,
+    label_steps: usize,
     store: LabelStore,
 }
 
@@ -53,8 +79,10 @@ impl Trace {
         assert!(n > 0, "Trace::new: n must be positive");
         Self {
             n,
-            steps: Vec::new(),
+            spans: Vec::new(),
+            ids: Vec::new(),
             labels: Vec::new(),
+            label_steps: (LABEL_CHUNK / n).max(1),
             store,
         }
     }
@@ -68,13 +96,13 @@ impl Trace {
     /// Number of recorded iterations `J`; steps are `j = 1..=J`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.spans.len()
     }
 
     /// True when no step has been recorded.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.spans.is_empty()
     }
 
     /// Label storage mode.
@@ -106,12 +134,44 @@ impl Trace {
             prev = Some(i);
         }
         let min_label = labels.iter().copied().min().expect("n > 0");
-        self.steps.push(TraceStep {
-            active: active.iter().map(|&i| i as u32).collect(),
+        let k = active.len();
+        if self.ids.last().is_none_or(|c| c.len() + k > ID_CHUNK) {
+            // The first chunk grows on demand so short traces stay small.
+            let cap = if self.ids.is_empty() {
+                0
+            } else {
+                ID_CHUNK.max(k)
+            };
+            self.ids.push(Vec::with_capacity(cap));
+        }
+        let chunk = self.ids.len() - 1;
+        let ids = &mut self.ids[chunk];
+        let lo = ids.len();
+        ids.extend(active.iter().map(|&i| i as u32));
+        self.spans.push(Span {
+            chunk: chunk as u32,
+            lo: lo as u32,
+            hi: (lo + k) as u32,
             min_label,
         });
         if self.store == LabelStore::Full {
-            self.labels.push(labels.to_vec());
+            let words = self.label_steps * self.n;
+            if self.labels.last().is_none_or(|c| c.len() == words) {
+                let cap = if self.labels.is_empty() { 0 } else { words };
+                self.labels.push(Vec::with_capacity(cap));
+            }
+            self.labels
+                .last_mut()
+                .expect("chunk pushed above")
+                .extend_from_slice(labels);
+        }
+    }
+
+    #[inline]
+    fn view(&self, s: &Span) -> TraceStep<'_> {
+        TraceStep {
+            active: &self.ids[s.chunk as usize][s.lo as usize..s.hi as usize],
+            min_label: s.min_label,
         }
     }
 
@@ -120,12 +180,12 @@ impl Trace {
     /// # Panics
     /// Panics when `j` is 0 or beyond the recorded range.
     #[inline]
-    pub fn step(&self, j: u64) -> &TraceStep {
+    pub fn step(&self, j: u64) -> TraceStep<'_> {
         assert!(
-            j >= 1 && (j as usize) <= self.steps.len(),
+            j >= 1 && (j as usize) <= self.spans.len(),
             "step: j out of range"
         );
-        &self.steps[j as usize - 1]
+        self.view(&self.spans[j as usize - 1])
     }
 
     /// Full label vector of iteration `j` (1-based).
@@ -141,18 +201,20 @@ impl Trace {
             return Err(ModelError::LabelsNotStored);
         }
         assert!(
-            j >= 1 && (j as usize) <= self.labels.len(),
+            j >= 1 && (j as usize) <= self.spans.len(),
             "labels: j out of range"
         );
-        Ok(&self.labels[j as usize - 1])
+        let k = j as usize - 1;
+        let at = (k % self.label_steps) * self.n;
+        Ok(&self.labels[k / self.label_steps][at..at + self.n])
     }
 
     /// Iterates over `(j, step)` pairs in increasing `j`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &TraceStep)> {
-        self.steps
+    pub fn iter(&self) -> impl Iterator<Item = (u64, TraceStep<'_>)> {
+        self.spans
             .iter()
             .enumerate()
-            .map(|(k, s)| (k as u64 + 1, s))
+            .map(|(k, s)| (k as u64 + 1, self.view(s)))
     }
 
     /// Iteration indices at which component `i` was updated.
@@ -174,9 +236,9 @@ impl Trace {
         assert_eq!(partition.n(), self.n, "machine_update_counts: dimension");
         let mut counts = vec![0u64; partition.num_machines()];
         let mut touched = vec![false; partition.num_machines()];
-        for s in &self.steps {
+        for (_, s) in self.iter() {
             touched.fill(false);
-            for &i in &s.active {
+            for &i in s.active {
                 touched[partition.machine_of(i as usize)] = true;
             }
             for (m, &t) in touched.iter().enumerate() {
@@ -192,9 +254,9 @@ impl Trace {
     /// "oldest information still in flight at or after step j". Used by the
     /// strict macro-iteration sequence and the condition (b) checker.
     pub fn min_label_suffix(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.steps.len()];
+        let mut out = vec![0u64; self.spans.len()];
         let mut acc = u64::MAX;
-        for (k, s) in self.steps.iter().enumerate().rev() {
+        for (k, s) in self.spans.iter().enumerate().rev() {
             acc = acc.min(s.min_label);
             out[k] = acc;
         }
@@ -280,6 +342,49 @@ mod tests {
         let t = toy_trace();
         // min labels per step: 0, 0, 1 → suffix minima: 0, 0, 1.
         assert_eq!(t.min_label_suffix(), vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn arena_chunks_keep_every_step_intact() {
+        // n = 300 puts 27 label vectors in a chunk; ~150 ids per step
+        // fill an id chunk every ~55 steps.
+        let n = 300;
+        let mut t = Trace::new(n, LabelStore::Full);
+        let mut want = Vec::new();
+        for j in 1..=1000u64 {
+            let active: Vec<usize> = (0..n)
+                .filter(|i| (i * 7 + j as usize).is_multiple_of(2))
+                .collect();
+            let labels: Vec<u64> = (0..n as u64)
+                .map(|h| (j - 1).saturating_sub(h % 5))
+                .collect();
+            t.push_step(&active, &labels);
+            want.push((active, labels));
+        }
+        for (j, (active, labels)) in (1u64..).zip(&want) {
+            let s = t.step(j);
+            assert!(s
+                .active
+                .iter()
+                .map(|&i| i as usize)
+                .eq(active.iter().copied()));
+            assert_eq!(s.min_label, *labels.iter().min().unwrap());
+            assert_eq!(t.labels(j).unwrap(), labels.as_slice());
+        }
+        assert_eq!(t.iter().count(), 1000);
+
+        // A step wider than an id chunk gets a chunk of its own.
+        let n = ID_CHUNK + 5;
+        let mut t = Trace::new(n, LabelStore::MinOnly);
+        let all: Vec<usize> = (0..n).collect();
+        t.push_step(&[3], &vec![0; n]);
+        t.push_step(&all, &vec![1; n]);
+        t.push_step(&[4], &vec![2; n]);
+        assert_eq!(t.step(1).active, [3]);
+        assert_eq!(t.step(2).active.len(), n);
+        assert_eq!(t.step(2).active[n - 1] as usize, n - 1);
+        assert_eq!(t.step(3).active, [4]);
+        assert_eq!(t.step(3).min_label, 2);
     }
 
     #[test]

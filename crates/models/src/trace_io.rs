@@ -36,7 +36,7 @@ pub fn write_trace(trace: &Trace, out: &mut dyn Write) -> crate::Result<()> {
     writeln!(out, "asynciter-trace v1 n={} labels={mode}", trace.n()).map_err(io_err)?;
     for (j, step) in trace.iter() {
         write!(out, "{j} a").map_err(io_err)?;
-        for &i in &step.active {
+        for &i in step.active {
             write!(out, " {i}").map_err(io_err)?;
         }
         match trace.store() {

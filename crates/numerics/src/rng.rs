@@ -69,6 +69,115 @@ pub fn pareto(r: &mut StdRng, xm: f64, alpha: f64) -> f64 {
     xm / u.powf(1.0 / alpha)
 }
 
+/// Exact `⌈pareto(r, 1.0, alpha)⌉` without the `powf` in the common case.
+///
+/// `⌈1 / u^(1/α)⌉ = k` exactly when `T_k ≤ u < T_(k−1)` with
+/// `T_k = k^(−α)`, so one uniform draw `u` is resolved against the
+/// thresholds `T_1 > T_2 > … > T_64`. Each threshold carries a relative
+/// guard band of ±[`ParetoCeil::GUARD`], far wider than the few-ulp
+/// rounding of `powf`: a `u` clear of every band gets the table's `k`,
+/// and a `u` inside a band (or past `T_64`) falls back to the literal
+/// `1.0 / u.powf(1.0 / alpha)` on the same draw. Either way the result
+/// is bitwise what [`pareto`] followed by `ceil` returns, from the same
+/// single draw, so streams built on it do not change.
+///
+/// Most draws never scan the thresholds: `[0, 1)` is cut into
+/// [`ParetoCeil::BUCKETS`] equal slices, and a slice lying wholly
+/// between two guard bands stores its delay directly.
+#[derive(Debug, Clone)]
+pub struct ParetoCeil {
+    inv_alpha: f64,
+    /// `(T_k·(1 − GUARD), T_k·(1 + GUARD))` for `k = 1..=len`.
+    bands: [(f64, f64); ParetoCeil::TABLE],
+    len: usize,
+    /// Per slice `[b, b + 1) / BUCKETS`: the delay of every `u` in it, or
+    /// 0 when a band or several delays meet there.
+    buckets: [u8; ParetoCeil::BUCKETS],
+}
+
+impl ParetoCeil {
+    /// Largest delay resolved by the table.
+    pub const TABLE: usize = 64;
+    /// Relative half-width of each threshold's guard band.
+    pub const GUARD: f64 = 1e-9;
+    /// Number of equal slices of `[0, 1)` with a precomputed delay.
+    pub const BUCKETS: usize = 1024;
+
+    /// Table for shape `alpha`.
+    ///
+    /// # Panics
+    /// Panics on a nonpositive `alpha`.
+    pub fn new(alpha: f64) -> Self {
+        assert!(alpha > 0.0, "ParetoCeil: nonpositive alpha");
+        let mut bands = [(0.0, 0.0); Self::TABLE];
+        let mut len = 0;
+        // The literal path's rounding moves its effective thresholds by
+        // about α·1.4e-15 relative. The table ends where a threshold
+        // leaves the normal range (and would lose relative precision),
+        // which for every k ≥ 2 happens before α reaches 1022: the shift
+        // stays below 1.5e-12, far inside the guard band.
+        for (k, band) in bands.iter_mut().enumerate() {
+            let t = ((k + 1) as f64).powf(-alpha);
+            let lo = t * (1.0 - Self::GUARD);
+            if lo < f64::MIN_POSITIVE {
+                break;
+            }
+            *band = (lo, t * (1.0 + Self::GUARD));
+            len += 1;
+        }
+        let mut buckets = [0u8; Self::BUCKETS];
+        for (b, slot) in buckets.iter_mut().enumerate() {
+            let (from, to) = (
+                b as f64 / Self::BUCKETS as f64,
+                (b + 1) as f64 / Self::BUCKETS as f64,
+            );
+            // The first threshold band wholly below the slice, and the
+            // band before it wholly above: then every `u` in the slice
+            // has the same exact delay.
+            if let Some(k) = bands[..len].iter().position(|&(_, hi)| hi <= from) {
+                if k > 0 && to <= bands[k - 1].0 {
+                    *slot = (k + 1) as u8;
+                }
+            }
+        }
+        Self {
+            inv_alpha: 1.0 / alpha,
+            bands,
+            len,
+            buckets,
+        }
+    }
+
+    /// `⌈1 / u^(1/α)⌉` for `u ∈ (0, 1)`, saturating like `as u64`.
+    #[inline]
+    pub fn ceil_at(&self, u: f64) -> u64 {
+        match self.buckets.get((u * Self::BUCKETS as f64) as usize) {
+            Some(&d) if d > 0 => u64::from(d),
+            _ => self.scan(u),
+        }
+    }
+
+    /// The threshold scan behind [`ParetoCeil::ceil_at`].
+    fn scan(&self, u: f64) -> u64 {
+        for (k, &(lo, hi)) in self.bands[..self.len].iter().enumerate() {
+            if u >= hi {
+                return k as u64 + 1;
+            }
+            if u >= lo {
+                break;
+            }
+        }
+        (1.0 / u.powf(self.inv_alpha)).ceil() as u64
+    }
+
+    /// One draw: the same value and the same stream advance as
+    /// `pareto(r, 1.0, alpha).ceil() as u64`.
+    #[inline]
+    pub fn sample(&self, r: &mut StdRng) -> u64 {
+        self.ceil_at(r.random_range(f64::MIN_POSITIVE..1.0))
+    }
+}
+
 /// In-place Fisher–Yates shuffle.
 pub fn shuffle<T>(r: &mut StdRng, xs: &mut [T]) {
     for i in (1..xs.len()).rev() {
@@ -83,17 +192,25 @@ pub fn shuffle<T>(r: &mut StdRng, xs: &mut [T]) {
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_indices(r: &mut StdRng, n: usize, k: usize) -> Vec<usize> {
+    let mut idx = Vec::with_capacity(n);
+    sample_indices_into(r, n, k, &mut idx);
+    idx
+}
+
+/// [`sample_indices`] into a caller-owned buffer: the same draws and the
+/// same result, without allocating once `buf` has capacity `n`.
+///
+/// # Panics
+/// Panics if `k > n`.
+pub fn sample_indices_into(r: &mut StdRng, n: usize, k: usize, buf: &mut Vec<usize>) {
     assert!(k <= n, "sample_indices: k > n");
-    // For small k relative to n, rejection sampling would be cheaper, but
-    // the schedule generators call this with k ~ n/2; the O(n) buffer is
-    // reused rarely enough not to matter.
-    let mut idx: Vec<usize> = (0..n).collect();
+    buf.clear();
+    buf.extend(0..n);
     for i in 0..k {
         let j = r.random_range(i..n);
-        idx.swap(i, j);
+        buf.swap(i, j);
     }
-    idx.truncate(k);
-    idx
+    buf.truncate(k);
 }
 
 #[cfg(test)]
@@ -171,6 +288,45 @@ mod tests {
             .map(|_| pareto(&mut r, 1.0, 1.1))
             .fold(0.0_f64, f64::max);
         assert!(max > 50.0, "max {max}");
+    }
+
+    #[test]
+    fn pareto_ceil_replays_the_pareto_stream() {
+        for alpha in [0.3, 1.1, 1.5, 4.0] {
+            let table = ParetoCeil::new(alpha);
+            let (mut a, mut b) = (rng(11), rng(11));
+            for _ in 0..20_000 {
+                assert_eq!(
+                    table.sample(&mut a),
+                    pareto(&mut b, 1.0, alpha).ceil() as u64
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pareto_ceil_buckets_agree_with_the_scan_at_their_edges() {
+        for alpha in [0.3, 1.1, 1.5, 4.0] {
+            let table = ParetoCeil::new(alpha);
+            let literal = |u: f64| (1.0 / u.powf(1.0 / alpha)).ceil() as u64;
+            let mut direct = 0;
+            for (b, &d) in table.buckets.iter().enumerate() {
+                if d == 0 {
+                    continue;
+                }
+                direct += 1;
+                let from = b as f64 / ParetoCeil::BUCKETS as f64;
+                let to = (b + 1) as f64 / ParetoCeil::BUCKETS as f64;
+                for u in [from, from.next_up(), to.next_down()] {
+                    assert_eq!(u64::from(d), literal(u), "alpha {alpha}, u {u:e}");
+                    assert_eq!(table.scan(u), literal(u), "alpha {alpha}, u {u:e}");
+                }
+            }
+            assert!(
+                direct > ParetoCeil::BUCKETS / 2,
+                "alpha {alpha}: {direct} direct slices"
+            );
+        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
             .unwrap()
             .into_iter()
             .zip(res.trace.iter())
-            .filter(|(_, (_, s))| s.active.as_slice() == [0])
+            .filter(|(_, (_, s))| s.active == [0])
             .map(|(d, _)| d)
             .collect();
         let (_, p, r2) = delay_growth_exponent(&series, 1024).expect("fit");
@@ -150,11 +150,7 @@ mod tests {
         // construction in asynciter-models on the P2 update density.
         let op = two_component_operator();
         let res = Simulator::run(&op, &[0.0, 0.0], &baudet(10_000), None).unwrap();
-        let p2_updates = res
-            .trace
-            .iter()
-            .filter(|(_, s)| s.active.as_slice() == [1])
-            .count() as f64;
+        let p2_updates = res.trace.iter().filter(|(_, s)| s.active == [1]).count() as f64;
         let expected = (2.0 * 10_000f64).sqrt();
         assert!(
             (p2_updates / expected - 1.0).abs() < 0.2,

@@ -7,8 +7,13 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! The audit swaps in a counting global allocator and runs everything in
-//! ONE `#[test]` so no parallel test thread can pollute the counter.
+//! The audit extends to the whole Replay step loop: schedule steps of the
+//! random generators allocate nothing, and a long `ReplayEngine` run with
+//! full-label recording stays far below one allocation per step (the
+//! trace arena and the pruned `History` grow in chunks, not per step).
+//!
+//! The audit swaps in a counting global allocator whose counters are
+//! thread-local, so parallel test threads cannot pollute each other.
 
 use asynciter::opt::lasso::LassoProblem;
 use asynciter::opt::logistic::LogisticGradOperator;
@@ -155,4 +160,55 @@ fn pool_leases_keep_per_step_loops_alloc_free_across_tenants() {
     assert_eq!(stats.leases, 64);
     assert_eq!(stats.created, 1, "the warmed buffer serves every tenant");
     assert_eq!(stats.reused, 64, "every lease recycled the warmed buffer");
+}
+
+#[test]
+fn replay_step_loop_is_alloc_free() {
+    use asynciter::core::engine::{EngineConfig, ReplayEngine};
+    use asynciter::models::schedule::{
+        ChaoticBounded, HeavyTailDelay, ScheduleGen, StepBuf, UnboundedSqrtDelay,
+    };
+    use asynciter::models::trace::LabelStore;
+    use asynciter::numerics::sparse::tridiagonal;
+    use asynciter::opt::linear::JacobiOperator;
+
+    let n = 256;
+    let gens: Vec<Box<dyn ScheduleGen>> = vec![
+        Box::new(ChaoticBounded::new(n, 1, n / 2, 16, false, 1)),
+        Box::new(ChaoticBounded::new(n, 1, n / 2, 16, true, 2)),
+        Box::new(HeavyTailDelay::new(n, 1, n / 2, 1.5, 3)),
+        Box::new(UnboundedSqrtDelay::new(n, 1, n / 2, 1.0, 4)),
+    ];
+    for mut gen in gens {
+        let mut buf = StepBuf::new(n);
+        let allocs = count_allocs(|| {
+            for j in 1..=2000 {
+                gen.step(j, &mut buf);
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{}: {allocs} heap allocations in 2000 schedule steps",
+            gen.describe()
+        );
+    }
+
+    // The whole run, set-up included: schedule, History lookups and
+    // pushes (pruned to the b = 16 window), kernel, full-label trace.
+    let steps = 20_000u64;
+    let op = JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap();
+    let mut gen = ChaoticBounded::new(n, 1, n / 4, 16, false, 5);
+    let cfg = EngineConfig::fixed(steps).with_labels(LabelStore::Full);
+    let mut steps_run = 0;
+    let allocs = count_allocs(|| {
+        let res = ReplayEngine::run(&op, &vec![0.0; n], &mut gen, &cfg, None).unwrap();
+        steps_run = res.steps_run;
+    });
+    assert_eq!(steps_run, steps);
+    let per_step = allocs as f64 / steps as f64;
+    assert!(
+        per_step < 0.1,
+        "{allocs} heap allocations in a {steps}-step replay ({per_step:.3} per step)"
+    );
 }
