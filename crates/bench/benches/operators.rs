@@ -2,6 +2,7 @@
 //! operator family in the workspace.
 
 use asynciter_opt::bellman_ford::{BellmanFordOperator, Graph};
+use asynciter_opt::lasso::LassoProblem;
 use asynciter_opt::linear::JacobiOperator;
 use asynciter_opt::logistic::LogisticGradOperator;
 use asynciter_opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
@@ -56,32 +57,69 @@ fn bench_full_apply(c: &mut Criterion) {
     group.finish();
 }
 
-/// The scratch-buffer payoff on a densely-coupled operator: a logistic
-/// half-block update through the shared-weight scratch path
-/// (`update_active_with`, one `O(m·n)` weight pass for the whole block)
-/// vs the naive per-component path (`update_active`, one weight pass
-/// *per component*). The ratio is the engines' per-step win.
-fn bench_logistic_scratch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("logistic_block_update");
+/// The scratch-path payoff on a densely-coupled operator, at the
+/// `ml-flexible` logistic shape (32 features × 2048 samples): the
+/// one-pass row-major kernel (`update_active_with`) vs the default
+/// `update_active`, a loop over the reference `component` (one weight
+/// pass per component), on full and half blocks and a single component.
+fn bench_logistic_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("logistic_kernel_32x2048");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    let (n, m) = (24, 240);
+    let (n, m) = (32, 2048);
     let op = LogisticGradOperator::certified_random(n, m, 2.0, 7).unwrap();
-    let x = vec![0.5; n];
+    let x: Vec<f64> = (0..n).map(|i| 0.01 * (i as f64 - 16.0)).collect();
     let mut out = vec![0.0; n];
     let mut scratch = vec![0.0; op.scratch_len()];
-    let active: Vec<usize> = (0..n / 2).collect();
+    for (label, active) in [
+        ("full", (0..n).collect::<Vec<_>>()),
+        ("half", (0..n).step_by(2).collect()),
+        ("single", vec![n / 2]),
+    ] {
+        group.throughput(Throughput::Elements(active.len() as u64));
+        group.bench_function(format!("kernel_{label}").as_str(), |b| {
+            b.iter(|| op.update_active_with(black_box(&x), &active, &mut out, &mut scratch))
+        });
+        group.bench_function(format!("component_loop_{label}").as_str(), |b| {
+            b.iter(|| op.update_active(black_box(&x), &active, &mut out))
+        });
+    }
+    group.finish();
+}
 
+/// The `ml-flexible` lasso shape (n = 160, dense Gram matrix): a
+/// half-block update with the prox computed once per call
+/// (`update_active_with`) vs the default `update_active`, a loop over
+/// `component`, which re-proxes every stored entry of every active row.
+fn bench_lasso_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lasso_kernel_n160");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let n = 160;
+    let problem = LassoProblem::random(n, 4 * n, 16, 0.05, 0.01, 7).unwrap();
+    let q = problem.quadratic.clone();
+    let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
+    let op = SparseProxGrad::new(q, L1::new(problem.lambda), gamma).unwrap();
+    let x: Vec<f64> = (0..n).map(|i| 0.01 * (i as f64 - 80.0)).collect();
+    let mut out = vec![0.0; n];
+    let mut scratch = vec![0.0; op.scratch_len()];
+    let active: Vec<usize> = (0..n).step_by(2).collect();
     group.throughput(Throughput::Elements(active.len() as u64));
-    group.bench_function("scratch_update_active_with", |b| {
+    group.bench_function("kernel_half", |b| {
         b.iter(|| op.update_active_with(black_box(&x), &active, &mut out, &mut scratch))
     });
-    group.bench_function("naive_update_active", |b| {
+    group.bench_function("component_loop_half", |b| {
         b.iter(|| op.update_active(black_box(&x), &active, &mut out))
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_full_apply, bench_logistic_scratch);
+criterion_group!(
+    benches,
+    bench_full_apply,
+    bench_logistic_kernel,
+    bench_lasso_kernel
+);
 criterion_main!(benches);

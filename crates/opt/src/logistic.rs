@@ -267,13 +267,20 @@ impl SmoothObjective for LogisticRegression {
 /// Construction **fails unless `λ > c`** — only certifiably contractive
 /// instances run under the totally asynchronous engines.
 ///
-/// The gradient couples every component through the data, so the
+/// The gradient couples every component through the data: the
 /// per-sample weights `w_h = z_h σ(−z_h a_hᵀx)` are shared by all
-/// components: [`Operator::update_active_with`] computes them once into
-/// the caller-owned scratch (`scratch_len() == m`), making block updates
-/// `O(m·n)` instead of `O(|block|·m·n)` with **zero** per-step heap
-/// allocation. All evaluation paths are bit-identical to
-/// [`Operator::component`].
+/// components. [`Operator::component`] recomputes them for its one
+/// component; the scratch paths ([`Operator::update_active_with`],
+/// [`Operator::apply_with`], [`Operator::residual_inf_with`]) make one
+/// pass over the rows of the row-major data instead. Per block of four
+/// rows they compute the margins as four independent in-order chains,
+/// then `w_h`, then subtract `w_h·a_h` across each whole contiguous row
+/// into an `n`-long accumulator in the caller-owned scratch
+/// (`scratch_len() == n`). A block update thus costs `O(m·n)` with
+/// contiguous loads and **zero** per-step heap allocation, whatever the
+/// block. Each accumulator sees the same operations in the same row
+/// order as [`Operator::component`], so every path is bit-identical to
+/// it.
 #[derive(Debug, Clone)]
 pub struct LogisticGradOperator {
     f: LogisticRegression,
@@ -358,25 +365,61 @@ impl LogisticGradOperator {
         self.f.reference_solution(1e-12, 2_000_000)
     }
 
-    /// `w_h = z_h σ(−z_h a_hᵀ x)` for every sample, into `weights`.
-    #[inline]
-    fn sample_weights(&self, x: &[f64], weights: &mut [f64]) {
-        for (h, w) in weights.iter_mut().enumerate() {
-            let row = self.f.a.row(h);
-            let margin = self.f.z[h] * asynciter_numerics::vecops::dot(row, x);
-            *w = self.f.z[h] * sigmoid(-margin);
+    /// The data-term sums `g_i = −Σ_h w_h a_hi` with
+    /// `w_h = z_h σ(−z_h a_hᵀx)`, for every component, into `g` — the
+    /// shared kernel of every scratch path, in one pass over the rows of
+    /// `A`. The margins of [`ROW_BLOCK`] rows are independent in-order
+    /// chains from `-0.0` (the identity `f64: Sum` starts from, so each
+    /// margin has the bits of `vecops::dot`), and each `g_i` subtracts
+    /// the same products in the same row order as
+    /// [`Operator::component`]: only the interleaving across rows and
+    /// components differs, so every value is bit-identical.
+    fn data_sums(&self, x: &[f64], g: &mut [f64]) {
+        let n = x.len();
+        g.fill(0.0);
+        if n == 0 {
+            return;
+        }
+        let mut blocks = self.f.a.data().chunks_exact(ROW_BLOCK * n);
+        let mut labels = self.f.z.chunks_exact(ROW_BLOCK);
+        for (rows, z) in (&mut blocks).zip(&mut labels) {
+            rows_into::<ROW_BLOCK>(rows, z, x, g);
+        }
+        for (row, z) in blocks.remainder().chunks_exact(n).zip(labels.remainder()) {
+            rows_into::<1>(row, std::slice::from_ref(z), x, g);
         }
     }
 
-    /// `G_i(x)` from precomputed sample weights — the shared kernel of
-    /// every evaluation path (bit-identical across all of them).
+    /// `G_i(x)` from the data-term sum `g_i` of [`Self::data_sums`].
     #[inline]
-    fn component_from_weights(&self, i: usize, x: &[f64], weights: &[f64]) -> f64 {
-        let mut g = 0.0;
-        for (h, &w) in weights.iter().enumerate() {
-            g -= w * self.f.a.row(h)[i];
+    fn finish(&self, i: usize, x: &[f64], g: &[f64]) -> f64 {
+        x[i] - self.gamma * (g[i] / self.f.samples() as f64 + self.f.lambda * x[i])
+    }
+}
+
+/// Rows per block of [`LogisticGradOperator`]'s one-pass kernel: that
+/// many margins are evaluated as independent add chains.
+const ROW_BLOCK: usize = 4;
+
+/// Subtracts `w_h a_h` of the `R` rows in `rows` (row-major, `R × n`,
+/// labels `z`) from `g`, row by row in order for every component.
+#[inline(always)]
+fn rows_into<const R: usize>(rows: &[f64], z: &[f64], x: &[f64], g: &mut [f64]) {
+    let n = x.len();
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &rows[r * n..(r + 1) * n]);
+    let mut margin = [-0.0_f64; R];
+    for (j, &xj) in x.iter().enumerate() {
+        for r in 0..R {
+            margin[r] += rows[r][j] * xj;
         }
-        x[i] - self.gamma * (g / weights.len() as f64 + self.f.lambda * x[i])
+    }
+    let w: [f64; R] = std::array::from_fn(|r| z[r] * sigmoid(-(z[r] * margin[r])));
+    for (i, gi) in g.iter_mut().enumerate() {
+        let mut v = *gi;
+        for r in 0..R {
+            v -= w[r] * rows[r][i];
+        }
+        *gi = v;
     }
 }
 
@@ -398,7 +441,7 @@ impl Operator for LogisticGradOperator {
     }
 
     fn scratch_len(&self) -> usize {
-        self.f.samples()
+        self.dim()
     }
 
     fn update_active_with(
@@ -410,20 +453,23 @@ impl Operator for LogisticGradOperator {
     ) {
         assert_eq!(x.len(), self.dim(), "LogisticGradOperator: x dim");
         assert_eq!(out.len(), self.dim(), "LogisticGradOperator: out dim");
-        let weights = &mut scratch[..self.f.samples()];
-        self.sample_weights(x, weights);
+        if active.is_empty() {
+            return;
+        }
+        let g = &mut scratch[..self.dim()];
+        self.data_sums(x, g);
         for &i in active {
-            out[i] = self.component_from_weights(i, x, weights);
+            out[i] = self.finish(i, x, g);
         }
     }
 
     fn apply_with(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(x.len(), self.dim(), "LogisticGradOperator: x dim");
         assert_eq!(out.len(), self.dim(), "LogisticGradOperator: out dim");
-        let weights = &mut scratch[..self.f.samples()];
-        self.sample_weights(x, weights);
+        let g = &mut scratch[..self.dim()];
+        self.data_sums(x, g);
         for (i, o) in out.iter_mut().enumerate() {
-            *o = self.component_from_weights(i, x, weights);
+            *o = self.finish(i, x, g);
         }
     }
 
@@ -434,11 +480,11 @@ impl Operator for LogisticGradOperator {
 
     fn residual_inf_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "LogisticGradOperator: x dim");
-        let weights = &mut scratch[..self.f.samples()];
-        self.sample_weights(x, weights);
+        let g = &mut scratch[..self.dim()];
+        self.data_sums(x, g);
         let mut r = 0.0_f64;
         for i in 0..self.dim() {
-            r = r.max((x[i] - self.component_from_weights(i, x, weights)).abs());
+            r = r.max((x[i] - self.finish(i, x, g)).abs());
         }
         r
     }

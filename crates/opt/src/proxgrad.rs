@@ -195,9 +195,14 @@ impl<F: SeparableSmooth, P: SeparableProx> Operator for SeparableProxGrad<F, P> 
 /// G_i(x) = p_i − γ ( Σ_c q_ic · p_c − b_i ),    p_c = prox_c(x_c),
 /// ```
 ///
-/// evaluated over row `i`'s sparsity pattern only — no scratch vector,
-/// `O(nnz(row i))` per component, so asynchronous block updates stay
-/// allocation-free.
+/// evaluated over row `i`'s sparsity pattern only.
+/// [`Operator::component`] proxes every stored column of row `i`
+/// (`O(nnz(row i))` prox evaluations); the scratch paths compute
+/// `p = prox(x)` once into the caller-owned scratch
+/// (`scratch_len() == n`), so a block update costs `n` prox evaluations
+/// plus one dot per active row — on a dense Gram matrix, `n` instead of
+/// up to `n²`. Every path is bit-identical to [`Operator::component`]:
+/// each row dot runs in stored-column order from `0.0`.
 #[derive(Debug, Clone)]
 pub struct SparseProxGrad<P> {
     f: SparseQuadratic,
@@ -236,6 +241,13 @@ impl<P: SeparableProx> SparseProxGrad<P> {
                 });
             }
         }
+        // `SparseQuadratic::new` certifies a positive Gershgorin margin,
+        // so every row stores its (positive) diagonal and the row loop of
+        // `component` always meets `c == i`.
+        debug_assert!(
+            (0..f.dim()).all(|i| f.q().row(i).0.binary_search(&i).is_ok()),
+            "SparseProxGrad: Q must store every diagonal entry"
+        );
         Ok(Self { f, g, gamma })
     }
 
@@ -279,9 +291,10 @@ impl<P: SeparableProx> SparseProxGrad<P> {
         let n = self.f.dim();
         let mut x = vec![0.0; n];
         let mut next = vec![0.0; n];
+        let mut scratch = vec![0.0; self.scratch_len()];
         let mut res = f64::INFINITY;
         for _ in 0..2_000_000 {
-            self.apply(&x, &mut next);
+            self.apply_with(&x, &mut next, &mut scratch);
             res = asynciter_numerics::vecops::max_abs_diff(&x, &next);
             std::mem::swap(&mut x, &mut next);
             if res <= 1e-15 {
@@ -300,6 +313,26 @@ impl<P: SeparableProx> SparseProxGrad<P> {
             .map(|(i, &v)| self.g.prox_component(i, v, self.gamma))
             .collect();
         Ok((x, p))
+    }
+
+    /// `p = prox_{γg}(x)`, componentwise, into `p`.
+    fn prox_into(&self, x: &[f64], p: &mut [f64]) {
+        for (c, (pc, &xc)) in p.iter_mut().zip(x).enumerate() {
+            *pc = self.g.prox_component(c, xc, self.gamma);
+        }
+    }
+
+    /// `G_i(x)` from `p = prox(x)` ([`Self::prox_into`]): row `i`'s
+    /// dot in stored-column order from `0.0`, as in
+    /// [`Operator::component`].
+    #[inline]
+    fn row_from_prox(&self, i: usize, p: &[f64]) -> f64 {
+        let (idx, vals) = self.f.q().row(i);
+        let mut qp = 0.0;
+        for (&c, &qic) in idx.iter().zip(vals) {
+            qp += qic * p[c];
+        }
+        p[i] - self.gamma * (qp - self.f.b()[i])
     }
 }
 
@@ -320,12 +353,58 @@ impl<P: SeparableProx> Operator for SparseProxGrad<P> {
                 pi = pc;
             }
         }
-        // Row might lack an explicit diagonal (never for validated
-        // diagonally-dominant Q, but stay correct regardless).
-        if self.f.q().get(i, i) == 0.0 {
-            pi = self.g.prox_component(i, x[i], self.gamma);
-        }
         pi - self.gamma * (qp - self.f.b()[i])
+    }
+
+    fn scratch_len(&self) -> usize {
+        self.dim()
+    }
+
+    fn update_active_with(
+        &self,
+        x: &[f64],
+        active: &[usize],
+        out: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        assert_eq!(x.len(), self.dim(), "SparseProxGrad: x dim");
+        assert_eq!(out.len(), self.dim(), "SparseProxGrad: out dim");
+        let p = &mut scratch[..self.dim()];
+        self.prox_into(x, p);
+        for &i in active {
+            out[i] = self.row_from_prox(i, p);
+        }
+    }
+
+    fn apply_with(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        assert_eq!(x.len(), self.dim(), "SparseProxGrad: x dim");
+        assert_eq!(out.len(), self.dim(), "SparseProxGrad: out dim");
+        let p = &mut scratch[..self.dim()];
+        self.prox_into(x, p);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.row_from_prox(i, p);
+        }
+    }
+
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.apply_with(x, out, &mut scratch);
+    }
+
+    fn residual_inf_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        assert_eq!(x.len(), self.dim(), "SparseProxGrad: x dim");
+        let p = &mut scratch[..self.dim()];
+        self.prox_into(x, p);
+        let mut r = 0.0_f64;
+        for (i, &xi) in x.iter().enumerate() {
+            r = r.max((xi - self.row_from_prox(i, p)).abs());
+        }
+        r
+    }
+
+    fn residual_inf(&self, x: &[f64]) -> f64 {
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.residual_inf_with(x, &mut scratch)
     }
 }
 

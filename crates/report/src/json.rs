@@ -252,6 +252,7 @@ impl Json {
     /// Syntax errors, with the byte position.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -293,6 +294,10 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes. The parser only
+    /// ever stops on an ASCII delimiter, so `pos` is always a char
+    /// boundary of `text`.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -430,12 +435,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 character verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at(self.pos, "invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` verbatim
+                    // (both ASCII, so the run ends on a char boundary).
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.pos + k);
+                    s.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -1036,6 +1043,70 @@ mod tests {
             Json::parse("\"\\ud83e\\udd80\"").unwrap().as_str().unwrap(),
             "🦀"
         );
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_runs_and_escapes_round_trip() {
+        // Runs of 1-, 2-, 3- and 4-byte characters broken up by every
+        // escape the renderer emits, at both ends of the string too.
+        let pieces = [
+            "",
+            "a",
+            "é",
+            "—",
+            "🦀",
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "\r",
+            "\u{1}",
+            "\u{1f}",
+            "ünï",
+            "日本語",
+            "𝄞𝄞",
+            "/",
+        ];
+        for (k, a) in pieces.iter().enumerate() {
+            for b in &pieces {
+                for c in &pieces[k..] {
+                    let s = format!("{a}{b}{c}{b}{a}");
+                    let rendered = Json::Str(s.clone()).render();
+                    let parsed = Json::parse(&rendered).unwrap();
+                    assert_eq!(parsed.as_str().unwrap(), s, "{rendered}");
+                }
+            }
+        }
+        // Escaped surrogate pairs and `\u` escapes between raw multi-byte
+        // runs; `\/` is accepted though never rendered.
+        let text = "\"ü\\ud83e\\udd80日\\u00e9\\/—\\ud834\\udd1e🦀\"";
+        assert_eq!(Json::parse(text).unwrap().as_str().unwrap(), "ü🦀日é/—𝄞🦀");
+        // Object keys go through the same path.
+        let text = "{\"ké\\ty🦀\": \"\\u65e5本\"}";
+        match Json::parse(text).unwrap() {
+            Json::Obj(fields) => {
+                assert_eq!(fields[0].0, "ké\ty🦀");
+                assert_eq!(fields[0].1.as_str(), Some("日本"));
+            }
+            other => panic!("expected object, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_positions() {
+        // Unterminated: reported at the end of the input, also after a
+        // multi-byte run.
+        for (text, pos) in [("\"abc", 4), ("\"ab🦀", 7), ("[\"é\\n", 6), ("\"", 1)] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.message, "unterminated string", "{text}");
+            assert_eq!(err.pos, pos, "{text}");
+        }
+        // A bad escape is reported at the escaped character, whatever
+        // run precedes it.
+        let err = Json::parse("\"日本\\q\"").unwrap_err();
+        assert_eq!((err.message.as_str(), err.pos), ("invalid escape", 8));
+        let err = Json::parse("\"ab\\é\"").unwrap_err();
+        assert_eq!((err.message.as_str(), err.pos), ("invalid escape", 4));
     }
 
     #[test]

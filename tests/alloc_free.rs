@@ -12,6 +12,12 @@
 //! full-label recording stays far below one allocation per step (the
 //! trace arena and the pruned `History` grow in chunks, not per step).
 //!
+//! The `ml-flexible` shapes (logistic 32 × 2048, lasso n = 160) get the
+//! same audit through the engines themselves: Replay under out-of-order
+//! `ChaoticBounded` with residual checks, and `Flexible { m: 4, partial:
+//! true }`. Every operator call in those loops allocates nothing, and a
+//! run twice as long allocates no more than the shorter one.
+//!
 //! The audit swaps in a counting global allocator whose counters are
 //! thread-local, so parallel test threads cannot pollute each other.
 
@@ -23,6 +29,7 @@ use asynciter::opt::proxgrad::{gamma_max, SparseProxGrad};
 use asynciter::opt::traits::{Operator, SmoothObjective};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 struct CountingAlloc;
 
@@ -105,9 +112,12 @@ fn per_step_paths_allocate_nothing() {
     let sparse = SparseProxGrad::new(q, L1::new(lasso.lambda), gamma).unwrap();
 
     // Logistic regression via the certified gradient operator (dense
-    // data coupling: the scratch holds the per-sample weights).
+    // data coupling: the scratch holds the gradient accumulator).
     let logistic = LogisticGradOperator::certified_random(8, 48, 2.0, 3).unwrap();
-    assert!(logistic.scratch_len() > 0, "logistic shares sample weights");
+    assert!(
+        logistic.scratch_len() > 0,
+        "logistic accumulates in scratch"
+    );
 
     // Network flow via the hub-grounded price relaxation.
     let flow = PriceRelaxation::new(NetworkFlowProblem::wheel(12, 5).unwrap(), 0).unwrap();
@@ -133,22 +143,37 @@ fn pool_leases_keep_per_step_loops_alloc_free_across_tenants() {
     // allocation-free end to end — lease, stage, iterate, return.
     use asynciter::runtime::scratch::ScratchPool;
 
+    // The service catalog's logistic instance and the `ml-flexible`
+    // shapes (logistic 32 × 2048, lasso n = 160), tenants taking turns.
     let logistic = LogisticGradOperator::certified_random(8, 48, 2.0, 3).unwrap();
-    let n = logistic.dim();
+    let ml_logistic = LogisticGradOperator::certified_random(32, 2048, 2.0, 1).unwrap();
+    let ml_lasso = {
+        let problem = LassoProblem::random(160, 640, 16, 0.05, 0.01, 2).unwrap();
+        let q = problem.quadratic.clone();
+        let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
+        SparseProxGrad::new(q, L1::new(problem.lambda), gamma).unwrap()
+    };
+    let ops = [&logistic as &dyn Operator, &ml_logistic, &ml_lasso];
     // The service workspace layout: [x0 staging | operator scratch].
-    let len = n + logistic.scratch_len();
+    let len = |op: &dyn Operator| op.dim() + op.scratch_len();
     let pool = ScratchPool::new();
-    pool.warm(1, len);
-    let x0 = vec![0.1; n];
-    let mut out = vec![0.0; n];
+    pool.warm(1, ops.iter().map(|&op| len(op)).max().unwrap());
+    let halves: Vec<Vec<usize>> = ops
+        .iter()
+        .map(|op| (0..op.dim()).step_by(2).collect())
+        .collect();
+    let mut out = vec![0.0; 160];
     let allocs = count_allocs(|| {
-        for _tenant in 0..64 {
-            let mut ws = pool.lease(len);
+        for tenant in 0..64 {
+            let (op, active) = (ops[tenant % ops.len()], &halves[tenant % ops.len()]);
+            let n = op.dim();
+            let mut ws = pool.lease(len(op));
             let (stage, scratch) = ws.split_at_mut(n);
-            stage.copy_from_slice(&x0);
-            for _ in 0..50 {
-                logistic.apply_with(stage, &mut out, scratch);
-                let _ = logistic.residual_inf_with(stage, scratch);
+            stage.fill(0.1);
+            for _ in 0..10 {
+                op.update_active_with(stage, active, &mut out[..n], scratch);
+                op.apply_with(stage, &mut out[..n], scratch);
+                let _ = op.residual_inf_with(stage, scratch);
             }
         }
     });
@@ -211,4 +236,202 @@ fn replay_step_loop_is_alloc_free() {
         per_step < 0.1,
         "{allocs} heap allocations in a {steps}-step replay ({per_step:.3} per step)"
     );
+}
+
+/// Forwards every [`Operator`] method to `inner`, charging the
+/// allocations made inside each call (while [`count_allocs`] counts) to
+/// `allocs`.
+struct KernelAudit<'a> {
+    inner: &'a dyn Operator,
+    calls: AtomicU64,
+    allocs: AtomicU64,
+}
+
+impl<'a> KernelAudit<'a> {
+    fn new(inner: &'a dyn Operator) -> Self {
+        Self {
+            inner,
+            calls: AtomicU64::new(0),
+            allocs: AtomicU64::new(0),
+        }
+    }
+
+    fn charge<R>(&self, f: impl FnOnce() -> R) -> R {
+        let a0 = ALLOCS.with(Cell::get);
+        let r = f();
+        self.calls.fetch_add(1, Relaxed);
+        self.allocs.fetch_add(ALLOCS.with(Cell::get) - a0, Relaxed);
+        r
+    }
+}
+
+/// Only the scratch paths are charged: they are what the engines call
+/// per step. The plain paths may allocate their own scratch.
+impl Operator for KernelAudit<'_> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn component(&self, i: usize, x: &[f64]) -> f64 {
+        self.inner.component(i, x)
+    }
+
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        self.inner.apply(x, out)
+    }
+
+    fn update_active(&self, x: &[f64], active: &[usize], out: &mut [f64]) {
+        self.inner.update_active(x, active, out)
+    }
+
+    fn residual_inf(&self, x: &[f64]) -> f64 {
+        self.inner.residual_inf(x)
+    }
+
+    fn scratch_len(&self) -> usize {
+        self.inner.scratch_len()
+    }
+
+    fn update_active_with(
+        &self,
+        x: &[f64],
+        active: &[usize],
+        out: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        self.charge(|| self.inner.update_active_with(x, active, out, scratch))
+    }
+
+    fn apply_with(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        self.charge(|| self.inner.apply_with(x, out, scratch))
+    }
+
+    fn residual_inf_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        self.charge(|| self.inner.residual_inf_with(x, scratch))
+    }
+}
+
+#[test]
+fn ml_engine_step_loops_are_alloc_free() {
+    use asynciter::core::session::{Flexible, Replay, Session};
+    use asynciter::core::stopping::StoppingRule;
+    use asynciter::models::partition::Partition;
+    use asynciter::models::schedule::{BlockRoundRobin, ChaoticBounded};
+
+    // The `ml-flexible` benchmark shapes.
+    let logistic = LogisticGradOperator::certified_random(32, 2048, 2.0, 1).unwrap();
+    let lasso = {
+        let problem = LassoProblem::random(160, 640, 16, 0.05, 0.01, 2).unwrap();
+        let q = problem.quadratic.clone();
+        let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
+        SparseProxGrad::new(q, L1::new(problem.lambda), gamma).unwrap()
+    };
+    for (name, op) in [
+        ("logistic 32x2048", &logistic as &dyn Operator),
+        ("lasso n=160", &lasso),
+    ] {
+        let n = op.dim();
+        let replay = |audit: &KernelAudit, steps: u64| {
+            let report = Session::new(audit)
+                .x0(vec![0.0; n])
+                .schedule(ChaoticBounded::new(n, n / 2, n, 8, true, 3))
+                .steps(steps)
+                // A target no run reaches: every step runs, with a
+                // residual check every 8.
+                .stopping(StoppingRule::Residual {
+                    eps: -1.0,
+                    check_every: 8,
+                })
+                .backend(Replay)
+                .run()
+                .unwrap();
+            assert_eq!(report.steps, steps, "{name}: replay stopped early");
+        };
+        let flexible = |audit: &KernelAudit, steps: u64| {
+            let report = Session::new(audit)
+                .x0(vec![0.0; n])
+                .schedule(BlockRoundRobin::new(Partition::blocks(n, 2).unwrap(), 1))
+                .steps(steps)
+                .backend(Flexible {
+                    m: 4,
+                    partial: true,
+                    ..Flexible::default()
+                })
+                .run()
+                .unwrap();
+            assert_eq!(report.steps, steps, "{name}: flexible stopped early");
+        };
+        for (engine, run) in [
+            ("replay", &replay as &dyn Fn(&KernelAudit, u64)),
+            ("flexible", &flexible),
+        ] {
+            let short_audit = KernelAudit::new(op);
+            let short = count_allocs(|| run(&short_audit, 1000));
+            let long_audit = KernelAudit::new(op);
+            let long = count_allocs(|| run(&long_audit, 2000));
+            assert!(
+                long_audit.calls.load(Relaxed) >= 200,
+                "{name} {engine}: kernel not driven"
+            );
+            assert_eq!(
+                long_audit.allocs.load(Relaxed),
+                0,
+                "{name} {engine}: operator calls allocated"
+            );
+            // Steps 1001..=2000 allocate only when the trace arena takes
+            // a new chunk (8192 active ids; a step records at most n) or
+            // its span or chunk list doubles.
+            let trace_growth = 1000 * n as u64 / 8192 + 4;
+            assert!(
+                long - short <= trace_growth,
+                "{name} {engine}: steps 1001..=2000 allocated {} times",
+                long - short
+            );
+        }
+    }
+}
+
+#[test]
+fn service_workers_each_reuse_one_workspace() {
+    // Logistic and lasso tenants through the real service: each worker
+    // creates at most one workspace and recycles it for every later job.
+    use asynciter::service::{
+        BackendSpec, JobSpec, ProblemId, ScheduleSpec, Service, ServiceConfig, ServiceMode,
+    };
+
+    for (mode, workers) in [
+        (ServiceMode::Deterministic { seed: 5 }, 1),
+        (ServiceMode::FreeRunning { workers: 2 }, 2),
+    ] {
+        let mut svc = Service::new(ServiceConfig {
+            mode,
+            ..ServiceConfig::default()
+        });
+        for tenant in 0..16 {
+            svc.submit(JobSpec {
+                tenant,
+                seed: 100 + tenant,
+                problem: [ProblemId::Logistic, ProblemId::Lasso][tenant as usize % 2],
+                backend: BackendSpec::Replay {
+                    schedule: ScheduleSpec::Chaotic {
+                        k_min: 2,
+                        k_max: 6,
+                        b: 4,
+                    },
+                },
+                record: false,
+            })
+            .unwrap();
+        }
+        let out = svc.drain();
+        assert_eq!(out.doc.completed, 16);
+        let stats = svc.pool().stats();
+        assert_eq!(stats.leases, 16);
+        assert!(
+            (1..=workers).contains(&stats.created),
+            "{workers} worker(s) created {} workspaces",
+            stats.created
+        );
+        assert_eq!(stats.reused, stats.leases - stats.created);
+    }
 }
